@@ -35,11 +35,13 @@ race:
 test-differential:
 	$(GO) test -race -count=1 -run 'TestEngineDifferential' ./internal/core/
 
-# Short round-trip fuzz pass over every from-scratch compressor (the
-# checked-in corpora under testdata/fuzz/ always run as part of `test`;
-# this additionally explores for FUZZTIME per target).
+# Short fuzz pass over every from-scratch compressor, the taint sets, the
+# engine differential and the server's header parsers (the checked-in
+# corpora under testdata/fuzz/ always run as part of `test`; this
+# additionally explores for FUZZTIME per target).
 FUZZTIME ?= 10s
 test-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzSetUnion -fuzztime $(FUZZTIME) ./internal/taint/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/lz77/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/lzw/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/bwt/

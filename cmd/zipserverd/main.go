@@ -66,9 +66,8 @@ func main() {
 // hierarchy.
 type cacheConfig struct {
 	Backend     string
-	HotBytes    int64 // in-memory budget (also the plain lru/sharded budget)
+	HotBytes    int64 // in-memory budget (also the plain lru budget)
 	ColdBytes   int64 // disk budget
-	Shards      int
 	Dir         string
 	Peer        string
 	PeerTimeout time.Duration
@@ -113,10 +112,6 @@ func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache,
 		if lru := server.NewLRUBackend(cc.HotBytes, reg, localPrefix); lru != nil {
 			local = lru
 		}
-	case "sharded":
-		if sh := server.NewShardedBackend(cc.HotBytes, cc.Shards, reg, localPrefix); sh != nil {
-			local = sh
-		}
 	case "disk":
 		dir, derr := ensureDir()
 		if derr != nil {
@@ -154,7 +149,7 @@ func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache,
 			local = t
 		}
 	default:
-		return nil, nil, cleanup, fmt.Errorf("unknown -cache-backend %q (have lru, sharded, disk, tiered)", cc.Backend)
+		return nil, nil, cleanup, fmt.Errorf("unknown -cache-backend %q (have lru, disk, tiered)", cc.Backend)
 	}
 
 	if cc.Peer == "" || local == nil {
@@ -214,18 +209,17 @@ func run() error {
 		maxBody  = flag.Int64("max-body", server.DefaultMaxBodyBytes, "per-request body cap in bytes")
 		cacheMB  = flag.Int64("cache-mb", 64, "response cache budget in MiB (negative disables; the hot tier for -cache-backend tiered)")
 
-		cacheBackend = flag.String("cache-backend", "lru", "cache backend: lru, sharded, disk, or tiered (in-memory hot over disk cold)")
-		cacheShards  = flag.Int("cache-shards", 16, "shard count for -cache-backend sharded")
+		cacheBackend = flag.String("cache-backend", "lru", "cache backend: lru, disk, or tiered (in-memory hot over disk cold)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the disk tier (empty = private temp dir, removed on exit)")
 		cacheColdMB  = flag.Int64("cache-cold-mb", 256, "disk (cold) tier budget in MiB for -cache-backend disk/tiered")
 		cachePeer    = flag.String("cache-peer", "", "base URL of a peer zipserverd whose cache becomes this instance's outermost cold tier")
 		peerTimeout  = flag.Duration("cache-peer-timeout", server.DefaultPeerTimeout, "per-exchange deadline for the peer tier")
 		cacheMaxAge  = flag.Int("cache-max-age", 0, "max-age seconds advertised in Cache-Control on /v1 responses (0 = default, negative disables)")
 		cacheScrub   = flag.Bool("cache-scrub", false, "scrub -cache-dir (verify entries, quarantine torn ones, remove temps), print the report, and exit")
-		metrics  = flag.String("metrics", "", "write a final obs snapshot to this file on shutdown")
-		faults   = flag.String("faults", "", "deterministic fault injections, comma-separated point=kind:prob[:param] or point=kind@n[:param] (empty disables)")
-		fseed    = flag.Int64("fault-seed", 1, "root seed for the fault registry's per-point streams")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline before in-flight connections are cut")
+		metrics      = flag.String("metrics", "", "write a final obs snapshot to this file on shutdown")
+		faults       = flag.String("faults", "", "deterministic fault injections, comma-separated point=kind:prob[:param] or point=kind@n[:param] (empty disables)")
+		fseed        = flag.Int64("fault-seed", 1, "root seed for the fault registry's per-point streams")
+		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline before in-flight connections are cut")
 
 		pagestoreOn = flag.Bool("pagestore", false, "mount the compressed page store on PUT/GET /v1/pages/{id}")
 		pageSize    = flag.Int("page-size", pagestore.DefaultPageSize, "page size in bytes for -pagestore")
@@ -310,7 +304,6 @@ func run() error {
 		Backend:     *cacheBackend,
 		HotBytes:    cacheBytes,
 		ColdBytes:   coldBytes,
-		Shards:      *cacheShards,
 		Dir:         *cacheDir,
 		Peer:        *cachePeer,
 		PeerTimeout: *peerTimeout,

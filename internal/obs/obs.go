@@ -28,14 +28,14 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Registry owns a namespace of metrics and the run's trace sink. All
 // methods are safe for concurrent use; instruments with the same name are
-// shared (two modules asking for "cache.hits" get the same counter).
+// shared (two modules asking for "cache.hits" get the same counter). The
+// zero value is an empty registry, ready to use.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -47,13 +47,28 @@ type Registry struct {
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		wall:     map[string]*Counter{},
+func NewRegistry() *Registry { return &Registry{} }
+
+// instrument returns (creating with mk if needed) the named entry of one
+// of r's instrument maps. Lookups of existing names take only the read
+// lock, so instruments resolved on a hot path stay cheap.
+func instrument[T any](r *Registry, m *map[string]*T, name string, mk func() *T) *T {
+	r.mu.RLock()
+	v, ok := (*m)[name]
+	r.mu.RUnlock()
+	if ok {
+		return v
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v, ok = (*m)[name]; !ok {
+		if *m == nil {
+			*m = map[string]*T{}
+		}
+		v = mk()
+		(*m)[name] = v
+	}
+	return v
 }
 
 // Counter returns (creating if needed) the named counter. Returns nil —
@@ -62,20 +77,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok = r.counters[name]
-	if !ok {
-		c = NewCounter()
-		r.counters[name] = c
-	}
-	return c
+	return instrument(r, &r.counters, name, NewCounter)
 }
 
 // Gauge returns (creating if needed) the named gauge; nil registry gives
@@ -84,20 +86,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok = r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return instrument(r, &r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns (creating if needed) the named histogram; nil
@@ -106,20 +95,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok = r.hists[name]
-	if !ok {
-		h = NewHistogram()
-		r.hists[name] = h
-	}
-	return h
+	return instrument(r, &r.hists, name, NewHistogram)
 }
 
 // SetSimClock installs the simulation clock spans and trace events stamp
@@ -185,20 +161,7 @@ func (r *Registry) wallCounter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.wall[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok = r.wall[name]
-	if !ok {
-		c = NewCounter()
-		r.wall[name] = c
-	}
-	return c
+	return instrument(r, &r.wall, name, NewCounter)
 }
 
 // WallTotals returns cumulative wall-clock nanoseconds per span name.
@@ -216,47 +179,6 @@ func (r *Registry) WallTotals() map[string]uint64 {
 		out[k] = c.Value()
 	}
 	return out
-}
-
-// DeclareCounters registers the named counters at zero without touching
-// them. Servers call this at startup so every operational counter is
-// present (at 0) from the very first scrape, instead of popping into
-// existence when its first event happens — a scraper computing rates
-// needs the zero point. Nil-safe.
-func (r *Registry) DeclareCounters(names ...string) {
-	for _, n := range names {
-		r.Counter(n)
-	}
-}
-
-// DeclareGauges registers the named gauges at zero (see DeclareCounters).
-func (r *Registry) DeclareGauges(names ...string) {
-	for _, n := range names {
-		r.Gauge(n)
-	}
-}
-
-// DeclareHistograms registers the named histograms empty (see
-// DeclareCounters).
-func (r *Registry) DeclareHistograms(names ...string) {
-	for _, n := range names {
-		r.Histogram(n)
-	}
-}
-
-// CounterNames returns the sorted names of all registered counters.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // numCounterShards is the size of a counter's padded shard array. Owners

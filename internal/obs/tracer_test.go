@@ -212,22 +212,3 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Fatalf("got %d span records, want %d", len(spans), 8*50*2)
 	}
 }
-
-func TestDeclare(t *testing.T) {
-	reg := NewRegistry()
-	reg.DeclareCounters("a.b", "c.d")
-	reg.DeclareGauges("g.one")
-	reg.DeclareHistograms("h.one")
-	snap := reg.Snapshot()
-	if v, ok := snap.Counters["a.b"]; !ok || v != 0 {
-		t.Fatalf("declared counter a.b: %v %v", v, ok)
-	}
-	if _, ok := snap.Gauges["g.one"]; !ok {
-		t.Fatal("declared gauge missing")
-	}
-	if h, ok := snap.Histograms["h.one"]; !ok || h.Count != 0 {
-		t.Fatalf("declared histogram: %+v %v", h, ok)
-	}
-	var nilReg *Registry
-	nilReg.DeclareCounters("x") // must not panic
-}

@@ -2,9 +2,9 @@ package server
 
 // This file is the server's request-scoped observability: the
 // per-request info carrier the middleware and handlers share, the
-// structured NDJSON access log, SLO accounting, and the startup metric
-// declarations that make every operational series visible (at zero)
-// from the first scrape.
+// structured NDJSON access log, SLO accounting, and the metric handles
+// bound at startup, which make every operational series visible (at
+// zero) from the first scrape.
 
 import (
 	"context"
@@ -35,6 +35,7 @@ type reqInfo struct {
 	span      *obs.TraceSpan // root server.request span (nil when tracing off)
 	codec     string
 	op        string
+	ops       *opMetrics // the codec/op's series; nil until the route is known
 	bytesIn   int
 	cacheTier string // "hit", "miss", "bypass", or "" before the cache decision
 	breaker   string // breaker state observed at the admission decision
@@ -69,48 +70,81 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// declareMetrics pre-registers every operational series the server can
-// emit, so counters appear at zero on the first scrape instead of
-// popping into existence mid-run (a rate() over a counter needs its
-// zero point). Fault counters are declared separately by
-// fault.Registry.AttachObs — but only for armed points, keeping
-// disarmed runs byte-identical.
-func (s *Server) declareMetrics() {
-	s.reg.DeclareCounters(
-		"server.requests",
-		"server.bytes_in",
-		"server.bytes_out",
-		"server.cache.hits",
-		"server.cache.misses",
-		"server.cache.evictions",
-		"server.breaker.rejected",
-		"server.breaker.trips",
-		"server.codec.executions",
-		"server.flight.shared",
-		"server.http.not_modified",
-	)
-	s.reg.DeclareGauges("server.cache.bytes", "server.cache.entries")
-	s.reg.DeclareHistograms("server.request_latency_us")
-	for _, name := range codec.Names() {
-		for _, op := range []string{"compress", "decompress"} {
-			key := name + "." + op
-			s.reg.DeclareCounters(
-				"server.codec."+key,
-				"server.slo."+key+".good",
-				"server.slo."+key+".breach",
-			)
-			s.reg.DeclareGauges(
-				"server.slo."+key+".burn_rate",
-				"server.breaker."+name+"."+op+".state",
-			)
-		}
-	}
+// metrics are the server's instruments, bound once in New. Binding is
+// also registration: every series here appears at zero on the first
+// scrape instead of popping into existence mid-run (a rate() over a
+// counter needs its zero point). Series that only exist once something
+// goes wrong (server.errors.*, server.cache.bypass, server.codec.retries)
+// stay out of it and are looked up at the event, so a clean run's
+// snapshot never shows them; armed fault points are registered by
+// fault.Registry.AttachObs.
+type metrics struct {
+	requests, bytesIn, bytesOut   *obs.Counter
+	executions, flightShared      *obs.Counter
+	notModified                   *obs.Counter
+	breakerRejected, breakerTrips *obs.Counter
+	latency                       *obs.Histogram
+	ops                           map[opKey]*opMetrics
 }
 
-// updateBreakerGauge mirrors a breaker's state into its gauge (0 closed,
-// 1 open, 2 trial) after every decision that can move it.
-func (s *Server) updateBreakerGauge(name, op string, b *breaker) {
-	s.reg.Gauge("server.breaker." + name + "." + op + ".state").Set(float64(b.stateCode()))
+// opKey names one codec/op pair ("lz77"/"compress", "pages"/"put").
+type opKey struct{ codec, op string }
+
+// opMetrics are one codec/op pair's request, SLO and breaker series.
+type opMetrics struct {
+	key       string // "lz77/compress": the breaker's /healthz name
+	requests  *obs.Counter
+	sloGood   *obs.Counter
+	sloBreach *obs.Counter
+	burnRate  *obs.Gauge
+	breaker   *obs.Gauge // nil for the page store, which has no breaker
+}
+
+// bindMetrics resolves every server series on reg, the page-store
+// operations only when a store is mounted.
+func bindMetrics(reg *obs.Registry, pages bool) metrics {
+	m := metrics{
+		requests:        reg.Counter("server.requests"),
+		bytesIn:         reg.Counter("server.bytes_in"),
+		bytesOut:        reg.Counter("server.bytes_out"),
+		executions:      reg.Counter("server.codec.executions"),
+		flightShared:    reg.Counter("server.flight.shared"),
+		notModified:     reg.Counter("server.http.not_modified"),
+		breakerRejected: reg.Counter("server.breaker.rejected"),
+		breakerTrips:    reg.Counter("server.breaker.trips"),
+		latency:         reg.Histogram("server.request_latency_us"),
+		ops:             map[opKey]*opMetrics{},
+	}
+	// The cache series belong to whichever backend hangs off the
+	// server.cache prefix; registering them here keeps them on the
+	// surface for a disk, tiered or disabled cache too.
+	for _, n := range []string{"hits", "misses", "evictions"} {
+		reg.Counter("server.cache." + n)
+	}
+	reg.Gauge("server.cache.bytes")
+	reg.Gauge("server.cache.entries")
+	bind := func(codec, op string) *opMetrics {
+		key := codec + "." + op
+		om := &opMetrics{
+			key:       codec + "/" + op,
+			requests:  reg.Counter("server.codec." + key),
+			sloGood:   reg.Counter("server.slo." + key + ".good"),
+			sloBreach: reg.Counter("server.slo." + key + ".breach"),
+			burnRate:  reg.Gauge("server.slo." + key + ".burn_rate"),
+		}
+		m.ops[opKey{codec, op}] = om
+		return om
+	}
+	for _, name := range codec.Names() {
+		for _, op := range []string{"compress", "decompress"} {
+			bind(name, op).breaker = reg.Gauge("server.breaker." + name + "." + op + ".state")
+		}
+	}
+	if pages {
+		bind("pages", "put")
+		bind("pages", "get")
+	}
+	return m
 }
 
 // finishRequest closes out one /v1 request: latency histogram (with the
@@ -119,21 +153,18 @@ func (s *Server) updateBreakerGauge(name, op string, b *breaker) {
 // success or failure.
 func (s *Server) finishRequest(ri *reqInfo, rec *statusRecorder, lat time.Duration) {
 	latUS := lat.Microseconds()
-	s.reg.Histogram("server.request_latency_us").ObserveExemplar(latUS, ri.span.TraceIDString())
+	s.m.latency.ObserveExemplar(latUS, ri.span.TraceIDString())
 
-	if ri.codec != "" && ri.op != "" {
-		key := ri.codec + "." + ri.op
-		breach := (s.sloLatency > 0 && lat > s.sloLatency) || rec.status >= 500
-		if breach {
-			s.reg.Counter("server.slo." + key + ".breach").Inc()
+	if om := ri.ops; om != nil {
+		if (s.sloLatency > 0 && lat > s.sloLatency) || rec.status >= 500 {
+			om.sloBreach.Inc()
 		} else {
-			s.reg.Counter("server.slo." + key + ".good").Inc()
+			om.sloGood.Inc()
 		}
-		good := s.reg.Counter("server.slo." + key + ".good").Value()
-		bad := s.reg.Counter("server.slo." + key + ".breach").Value()
+		good, bad := om.sloGood.Value(), om.sloBreach.Value()
 		if total := good + bad; total > 0 {
 			ratio := float64(bad) / float64(total)
-			s.reg.Gauge("server.slo."+key+".burn_rate").Set(ratio / DefaultSLOBudget)
+			om.burnRate.Set(ratio / DefaultSLOBudget)
 		}
 	}
 
