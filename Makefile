@@ -151,9 +151,11 @@ bench-cluster:
 	echo "bench-cluster: 2-instance tiered cluster byte-identical to single-LRU baseline ($$d1)"
 
 # One-iteration hot-path smoke (CI runs this so compile or gross perf
-# regressions on the taint/LZ77 paths surface in PRs).
+# regressions on the taint/LZ77 paths, the nn train step and the BWT
+# sorters surface in PRs).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTaintAnalysis|BenchmarkLZ77Compress' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainStep|BenchmarkMainSort|BenchmarkFallbackSort' -benchtime 1x ./internal/nn ./internal/compress/bwt
 
 # Quick cross-layer check: SGX attack telemetry end to end.
 smoke:

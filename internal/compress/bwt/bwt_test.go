@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/zipchannel/zipchannel/internal/corpus"
 )
 
 func roundTrip(t *testing.T, src []byte, opts Options) []byte {
@@ -301,5 +303,40 @@ func TestWorkReported(t *testing.T) {
 	}
 	if c.work == 0 {
 		t.Error("tracer should receive work units")
+	}
+}
+
+type benchBlock struct {
+	name  string
+	block []byte
+}
+
+// sortBenchBlocks are full 10 kB blocks: English text, which mainSort
+// finishes, and a period-43 repetition, which it abandons.
+func sortBenchBlocks() []benchBlock {
+	text := corpus.EnglishText(rand.New(rand.NewSource(1)), DefaultBlockSize)
+	rep := []byte(strings.Repeat("The quick brown fox jumps over the lazy dog", 240)[:DefaultBlockSize])
+	return []benchBlock{{"text", rle1Encode(text)}, {"repetitive", rle1Encode(rep)}}
+}
+
+func BenchmarkMainSort(b *testing.B) {
+	for _, c := range sortBenchBlocks() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mainSort(c.block, DefaultWorkFactor*len(c.block), nil)
+			}
+		})
+	}
+}
+
+func BenchmarkFallbackSort(b *testing.B) {
+	for _, c := range sortBenchBlocks() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fallbackSort(c.block, nil)
+			}
+		})
 	}
 }

@@ -1,8 +1,11 @@
 package bwt
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // errAbandon is the internal signal that mainSort's work budget was
@@ -19,6 +22,12 @@ const FtabSize = 65537
 // increment is reported to the tracer), bucket placement, then per-bucket
 // comparison sorting under a work budget. It returns the sorted rotation
 // indices, or errAbandon when the budget is exhausted.
+//
+// Work is counted in byte-compare units: a comparison whose rotations
+// first differ at offset k costs k+1, and one between identical rotations
+// costs n. That is the cost of a byte-by-byte compare, whatever the
+// compare actually does, so the abandon decision and every Tracer.Work
+// value depend only on the block and the comparison sequence.
 func mainSort(block []byte, workLimit int, tr Tracer) ([]int32, error) {
 	n := len(block)
 	if n == 0 {
@@ -50,12 +59,18 @@ func mainSort(block []byte, workLimit int, tr Tracer) ([]int32, error) {
 		}
 	}
 
+	// Rotation i is dbl[i:i+n]. The 8 bytes of padding keep an 8-byte
+	// load at any offset below 2n in bounds.
+	dbl := make([]byte, 2*n+8)
+	copy(dbl, block)
+	copy(dbl[n:], block)
+
 	// Place each rotation into its 2-byte bucket.
 	ptr := make([]int32, n)
 	fill := make([]int32, FtabSize)
 	copy(fill, starts)
 	for i := 0; i < n; i++ {
-		pair := uint32(block[i])<<8 | uint32(block[(i+1)%n])
+		pair := uint32(dbl[i])<<8 | uint32(dbl[i+1])
 		ptr[fill[pair]] = int32(i)
 		fill[pair]++
 	}
@@ -64,18 +79,28 @@ func mainSort(block []byte, workLimit int, tr Tracer) ([]int32, error) {
 	work := 0
 	budget := workLimit
 	var abandoned bool
-	cmp := func(a, b int32) bool {
-		// Compare rotations starting at a and b beyond their shared
-		// 2-byte prefix.
-		for k := 0; k < n; k++ {
-			ca := block[(int(a)+k)%n]
-			cb := block[(int(b)+k)%n]
-			work++
-			if ca != cb {
-				return ca < cb
+	compare := func(a, b int32) int {
+		// Compare 8 bytes at a time; big-endian loads order words the
+		// way their first differing byte orders them.
+		x, y := dbl[a:], dbl[b:]
+		for k := 0; k < n; k += 8 {
+			u := binary.BigEndian.Uint64(x[k:])
+			v := binary.BigEndian.Uint64(y[k:])
+			if u == v {
+				continue
 			}
+			k += bits.LeadingZeros64(u^v) / 8
+			if k >= n {
+				break // the difference lies past the rotation's end
+			}
+			work += k + 1
+			if u < v {
+				return -1
+			}
+			return 1
 		}
-		return a < b // identical rotations: stable by index
+		work += n
+		return cmp.Compare(a, b) // identical rotations: stable by index
 	}
 	for pair := 0; pair < FtabSize-1 && !abandoned; pair++ {
 		lo, hi := starts[pair], fill[pair]
@@ -83,7 +108,7 @@ func mainSort(block []byte, workLimit int, tr Tracer) ([]int32, error) {
 			continue
 		}
 		bucket := ptr[lo:hi]
-		sort.Slice(bucket, func(x, y int) bool { return cmp(bucket[x], bucket[y]) })
+		slices.SortFunc(bucket, compare)
 		if work > budget {
 			abandoned = true
 		}
@@ -102,43 +127,43 @@ func mainSort(block []byte, workLimit int, tr Tracer) ([]int32, error) {
 
 // fallbackSort is the guaranteed-progress sorter bzip2 retreats to: here a
 // Manber-Myers prefix-doubling sort over rotations, O(n log^2 n)
-// regardless of repetitiveness.
+// regardless of repetitiveness. Its work is the number of comparisons.
 func fallbackSort(block []byte, tr Tracer) []int32 {
 	n := len(block)
 	if n == 0 {
 		return nil
 	}
 	rank := make([]int32, n)
-	tmp := make([]int32, n)
+	key := make([]uint64, n)
 	idx := make([]int32, n)
 	for i := 0; i < n; i++ {
 		idx[i] = int32(i)
 		rank[i] = int32(block[i])
 	}
 	work := 0
+	compare := func(a, b int32) int {
+		work++
+		return cmp.Compare(key[a], key[b])
+	}
 	for k := 1; ; k *= 2 {
-		key := func(i int32) (int32, int32) {
-			return rank[i], rank[(int(i)+k)%n]
-		}
-		sort.Slice(idx, func(x, y int) bool {
-			ax, bx := key(idx[x])
-			ay, by := key(idx[y])
-			work++
-			if ax != ay {
-				return ax < ay
+		// key[i] packs the ranks of rotation i's two halves, so it
+		// orders rotations by their first 2k bytes.
+		s := k % n
+		for i := 0; i < n; i++ {
+			j := i + s
+			if j >= n {
+				j -= n
 			}
-			return bx < by
-		})
-		tmp[idx[0]] = 0
+			key[i] = uint64(rank[i])<<32 | uint64(rank[j])
+		}
+		slices.SortFunc(idx, compare)
+		rank[idx[0]] = 0
 		for i := 1; i < n; i++ {
-			a1, b1 := key(idx[i-1])
-			a2, b2 := key(idx[i])
-			tmp[idx[i]] = tmp[idx[i-1]]
-			if a1 != a2 || b1 != b2 {
-				tmp[idx[i]]++
+			rank[idx[i]] = rank[idx[i-1]]
+			if key[idx[i-1]] != key[idx[i]] {
+				rank[idx[i]]++
 			}
 		}
-		copy(rank, tmp)
 		if int(rank[idx[n-1]]) == n-1 {
 			break
 		}

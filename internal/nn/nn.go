@@ -28,6 +28,18 @@ type MLP struct {
 	weights [][]float64 // layer l: sizes[l+1] x sizes[l], row-major
 	biases  [][]float64
 	rng     *rand.Rand
+	// train holds the buffers sgdStep reuses across minibatches. It is
+	// built by the first step; Predict and Probabilities never touch it.
+	train *trainBuffers
+}
+
+// trainBuffers is one training step's working memory.
+type trainBuffers struct {
+	acts   [][]float64 // acts[0] is the sample's input; acts[l] layer l's output
+	deltas [][]float64 // deltas[l], l >= 1: loss gradient at layer l's output
+	gradW  [][]float64 // summed over the minibatch, zeroed after each update
+	gradB  [][]float64
+	nz     []int // ascending indices of the sample's nonzero inputs
 }
 
 // New builds an MLP with the given layer sizes (input, hidden..., output)
@@ -58,29 +70,69 @@ func New(seed int64, sizes ...int) (*MLP, error) {
 // NumClasses returns the output layer width.
 func (m *MLP) NumClasses() int { return m.sizes[len(m.sizes)-1] }
 
-// forward returns all layer activations (post-ReLU for hidden layers,
-// raw logits for the last).
-func (m *MLP) forward(x []float64) [][]float64 {
-	acts := [][]float64{x}
+// newActs returns activation buffers for forward; acts[0] is left for
+// the input.
+func (m *MLP) newActs() [][]float64 {
+	acts := make([][]float64, len(m.sizes))
+	for l := 1; l < len(m.sizes); l++ {
+		acts[l] = make([]float64, m.sizes[l])
+	}
+	return acts
+}
+
+// nonzero appends the indices of x's nonzero entries, ascending, to
+// nz[:0].
+func nonzero(x []float64, nz []int) []int {
+	nz = nz[:0]
+	for i, v := range x {
+		if v != 0 {
+			nz = append(nz, i)
+		}
+	}
+	return nz
+}
+
+// forward fills acts[1:] with the layer activations for the input
+// acts[0] (post-ReLU for hidden layers, raw logits for the last). nz
+// lists the input's nonzero indices in ascending order.
+//
+// Layer 0 sums only over nz, and that is exact. A skipped term is w*0,
+// which is +0 or -0 for finite w. The sum starts at a bias, and SGD never
+// turns a bias into -0: it starts at +0, and x-y is -0 only when x is.
+// An IEEE sum is -0 only when both addends are, so the running sum is
+// never -0, and adding +0 or -0 to it leaves it unchanged. Pooled
+// traces are 82% zeros, so this skips most of the work.
+func (m *MLP) forward(nz []int, acts [][]float64) {
 	for l := range m.weights {
 		in, out := m.sizes[l], m.sizes[l+1]
-		a := acts[l]
-		z := make([]float64, out)
+		a, z := acts[l], acts[l+1]
 		w := m.weights[l]
 		for o := 0; o < out; o++ {
 			sum := m.biases[l][o]
 			row := w[o*in : (o+1)*in]
-			for i, v := range a {
-				sum += row[i] * v
+			if l == 0 {
+				for _, i := range nz {
+					sum += row[i] * a[i]
+				}
+			} else {
+				for i, v := range a {
+					sum += row[i] * v
+				}
 			}
 			if l < len(m.weights)-1 && sum < 0 {
 				sum = 0 // ReLU
 			}
 			z[o] = sum
 		}
-		acts = append(acts, z)
 	}
-	return acts
+}
+
+// logits runs a forward pass in fresh buffers, leaving m untouched.
+func (m *MLP) logits(x []float64) []float64 {
+	acts := m.newActs()
+	acts[0] = x
+	m.forward(nonzero(x, nil), acts)
+	return acts[len(acts)-1]
 }
 
 // Predict returns the most likely class for x.
@@ -88,8 +140,7 @@ func (m *MLP) Predict(x []float64) (int, error) {
 	if len(x) != m.sizes[0] {
 		return 0, fmt.Errorf("%w: input %d, want %d", ErrBadShape, len(x), m.sizes[0])
 	}
-	acts := m.forward(x)
-	logits := acts[len(acts)-1]
+	logits := m.logits(x)
 	best := 0
 	for i, v := range logits {
 		if v > logits[best] {
@@ -104,18 +155,20 @@ func (m *MLP) Probabilities(x []float64) ([]float64, error) {
 	if len(x) != m.sizes[0] {
 		return nil, fmt.Errorf("%w: input %d, want %d", ErrBadShape, len(x), m.sizes[0])
 	}
-	acts := m.forward(x)
-	return softmax(acts[len(acts)-1]), nil
+	logits := m.logits(x)
+	out := make([]float64, len(logits))
+	softmax(out, logits)
+	return out, nil
 }
 
-func softmax(logits []float64) []float64 {
+// softmax writes the softmax of logits into out.
+func softmax(out, logits []float64) {
 	maxV := logits[0]
 	for _, v := range logits {
 		if v > maxV {
 			maxV = v
 		}
 	}
-	out := make([]float64, len(logits))
 	var sum float64
 	for i, v := range logits {
 		out[i] = math.Exp(v - maxV)
@@ -124,7 +177,6 @@ func softmax(logits []float64) []float64 {
 	for i := range out {
 		out[i] /= sum
 	}
-	return out
 }
 
 // TrainConfig tunes SGD.
@@ -157,6 +209,9 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // Train runs minibatch SGD with softmax cross-entropy loss and returns
 // the final average loss.
 func (m *MLP) Train(samples []Sample, cfg TrainConfig) (float64, error) {
+	if cfg.Epochs < 0 || cfg.BatchSize < 0 {
+		return 0, fmt.Errorf("%w: negative epochs %d or batch size %d", ErrBadShape, cfg.Epochs, cfg.BatchSize)
+	}
 	cfg = cfg.withDefaults()
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("%w: no samples", ErrBadShape)
@@ -191,64 +246,93 @@ func (m *MLP) Train(samples []Sample, cfg TrainConfig) (float64, error) {
 	return lastLoss, nil
 }
 
-// sgdStep accumulates gradients over one minibatch and applies them.
-func (m *MLP) sgdStep(samples []Sample, batch []int, lr float64) float64 {
-	gradW := make([][]float64, len(m.weights))
-	gradB := make([][]float64, len(m.biases))
-	for l := range m.weights {
-		gradW[l] = make([]float64, len(m.weights[l]))
-		gradB[l] = make([]float64, len(m.biases[l]))
+// buffers returns the step buffers, building them on first use.
+func (m *MLP) buffers() *trainBuffers {
+	if m.train != nil {
+		return m.train
 	}
+	tb := &trainBuffers{
+		acts:   m.newActs(),
+		deltas: m.newActs(),
+		nz:     make([]int, 0, m.sizes[0]),
+	}
+	for l := range m.weights {
+		tb.gradW = append(tb.gradW, make([]float64, len(m.weights[l])))
+		tb.gradB = append(tb.gradB, make([]float64, len(m.biases[l])))
+	}
+	m.train = tb
+	return tb
+}
+
+// sgdStep accumulates gradients over one minibatch and applies them. It
+// reuses m's train buffers, so it allocates only on the first call.
+func (m *MLP) sgdStep(samples []Sample, batch []int, lr float64) float64 {
+	tb := m.buffers()
+	top := len(m.weights)
 	var loss float64
 	for _, si := range batch {
 		s := samples[si]
-		acts := m.forward(s.X)
-		probs := softmax(acts[len(acts)-1])
-		loss += -math.Log(math.Max(probs[s.Label], 1e-12))
+		tb.acts[0] = s.X
+		tb.nz = nonzero(s.X, tb.nz)
+		m.forward(tb.nz, tb.acts)
 
 		// Backprop. delta over logits:
-		delta := make([]float64, len(probs))
-		copy(delta, probs)
+		delta := tb.deltas[top]
+		softmax(delta, tb.acts[top])
+		loss += -math.Log(math.Max(delta[s.Label], 1e-12))
 		delta[s.Label] -= 1
 
-		for l := len(m.weights) - 1; l >= 0; l-- {
+		for l := top - 1; l > 0; l-- {
 			in, out := m.sizes[l], m.sizes[l+1]
-			a := acts[l]
+			a := tb.acts[l]
+			gw, gb := tb.gradW[l], tb.gradB[l]
 			w := m.weights[l]
-			var prev []float64
-			if l > 0 {
-				prev = make([]float64, in)
-			}
+			prev := tb.deltas[l]
+			clear(prev)
 			for o := 0; o < out; o++ {
 				d := delta[o]
-				gradB[l][o] += d
-				row := gradW[l][o*in : (o+1)*in]
+				gb[o] += d
+				row := gw[o*in : (o+1)*in]
 				wrow := w[o*in : (o+1)*in]
 				for i, v := range a {
 					row[i] += d * v
-					if prev != nil {
-						prev[i] += d * wrow[i]
-					}
+					prev[i] += d * wrow[i]
 				}
 			}
-			if prev != nil {
-				// ReLU derivative on the hidden activation.
-				for i := range prev {
-					if acts[l][i] <= 0 {
-						prev[i] = 0
-					}
+			// ReLU derivative on the hidden activation.
+			for i := range prev {
+				if a[i] <= 0 {
+					prev[i] = 0
 				}
-				delta = prev
+			}
+			delta = prev
+		}
+
+		// Layer 0 sums over the nonzero inputs only, exact by forward's
+		// argument: each gradient sum starts at +0 and is never -0, so a
+		// skipped d*0 term would leave it unchanged.
+		in := m.sizes[0]
+		gw, gb := tb.gradW[0], tb.gradB[0]
+		for o, d := range delta {
+			gb[o] += d
+			row := gw[o*in : (o+1)*in]
+			for _, i := range tb.nz {
+				row[i] += d * s.X[i]
 			}
 		}
 	}
+	// Apply the step and zero the gradients for the next batch.
 	scale := lr / float64(len(batch))
 	for l := range m.weights {
-		for i := range m.weights[l] {
-			m.weights[l][i] -= scale * gradW[l][i]
+		w, gw := m.weights[l], tb.gradW[l]
+		for i := range w {
+			w[i] -= scale * gw[i]
+			gw[i] = 0
 		}
-		for i := range m.biases[l] {
-			m.biases[l][i] -= scale * gradB[l][i]
+		b, gb := m.biases[l], tb.gradB[l]
+		for i := range b {
+			b[i] -= scale * gb[i]
+			gb[i] = 0
 		}
 	}
 	return loss

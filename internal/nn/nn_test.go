@@ -111,6 +111,47 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := m.Train(badLabel, TrainConfig{}); !errors.Is(err, ErrBadShape) {
 		t.Error("out-of-range label should fail")
 	}
+	ok := []Sample{{X: []float64{1, 2}, Label: 1}}
+	if _, err := m.Train(ok, TrainConfig{BatchSize: -1}); !errors.Is(err, ErrBadShape) {
+		t.Error("negative batch size should fail")
+	}
+	if _, err := m.Train(ok, TrainConfig{Epochs: -1}); !errors.Is(err, ErrBadShape) {
+		t.Error("negative epoch count should fail")
+	}
+}
+
+// stepFixture is one Fig 7-shaped minibatch and a network warmed by a
+// first step, so its train buffers exist.
+func stepFixture(tb testing.TB) (*MLP, []Sample, []int) {
+	samples := sparseDataset(4, 16, 21)
+	m, err := New(5, 2000, 64, 21)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batch := make([]int, len(samples))
+	for i := range batch {
+		batch[i] = i
+	}
+	m.sgdStep(samples, batch, 0.01)
+	return m, samples, batch
+}
+
+func TestTrainStepAllocs(t *testing.T) {
+	m, samples, batch := stepFixture(t)
+	if n := testing.AllocsPerRun(5, func() { m.sgdStep(samples, batch, 0.01) }); n != 0 {
+		t.Errorf("warmed sgdStep allocates %.0f times per call, want 0", n)
+	}
+}
+
+// BenchmarkTrainStep is one Fig 7-shaped minibatch: 16 pooled traces,
+// 2000 inputs, 64 hidden units, 21 classes.
+func BenchmarkTrainStep(b *testing.B) {
+	m, samples, batch := stepFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.sgdStep(samples, batch, 0.01)
+	}
 }
 
 func TestConfusionMatrixRowsSumToOne(t *testing.T) {
