@@ -7,8 +7,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed on:"; echo "$$out"; exit 1; }
 
 # Static analysis beyond vet: staticcheck at a pinned version so CI runs
 # are reproducible. `go run` fetches it on first use (needs module network
@@ -132,7 +134,9 @@ bench-cluster:
 	$$tmp/zipload -urls http://$$(cat $$tmp/addr1),http://$$(cat $$tmp/addr2) \
 		-clients $(CLUSTER_CLIENTS) -requests $(CLUSTER_REQS) -seed $(CLUSTER_SEED) \
 		-zipf 1.2 -digest | tee $$tmp/cluster.txt || status=$$?; \
-	kill -INT $$pid1 $$pid2 2>/dev/null; wait $$pid1 $$pid2 2>/dev/null || true; \
+	kill -INT $$pid1 $$pid2 2>/dev/null; \
+	for p in $$pid1 $$pid2; do s=0; wait $$p || s=$$?; \
+		[ $$s -eq 0 ] || { echo "zipserverd (pid $$p) exited $$s after SIGINT"; exit 1; }; done; \
 	[ $$status -eq 0 ] || exit $$status; \
 	grep -q 'tier:' $$tmp/cluster.txt || { echo "no per-tier hit rates in the cluster report"; exit 1; }; \
 	$$tmp/zipserverd -addr 127.0.0.1:0 -addr-file $$tmp/addr3 -cache-backend lru 2>$$tmp/s3.log & \
@@ -142,7 +146,9 @@ bench-cluster:
 	$$tmp/zipload -url http://$$(cat $$tmp/addr3) \
 		-clients $(CLUSTER_CLIENTS) -requests $(CLUSTER_REQS) -seed $(CLUSTER_SEED) \
 		-zipf 1.2 -digest | tee $$tmp/single.txt || status=$$?; \
-	kill -INT $$pid3 2>/dev/null; wait $$pid3 2>/dev/null || true; \
+	kill -INT $$pid3 2>/dev/null; \
+	s=0; wait $$pid3 || s=$$?; \
+	[ $$s -eq 0 ] || { echo "baseline zipserverd exited $$s after SIGINT"; exit 1; }; \
 	[ $$status -eq 0 ] || exit $$status; \
 	d1=$$(grep 'response digest' $$tmp/cluster.txt | awk '{print $$3}'); \
 	d2=$$(grep 'response digest' $$tmp/single.txt | awk '{print $$3}'); \
@@ -175,7 +181,9 @@ smoke-server:
 	[ -s $$tmp/addr ] || { echo "zipserverd never bound"; kill $$pid; exit 1; }; \
 	status=0; \
 	$$tmp/zipload -url http://$$(cat $$tmp/addr) -clients 8 -duration 2s || status=$$?; \
-	kill -INT $$pid 2>/dev/null; wait $$pid 2>/dev/null || true; \
+	kill -INT $$pid 2>/dev/null; \
+	sstatus=0; wait $$pid || sstatus=$$?; \
+	[ $$sstatus -eq 0 ] || { echo "zipserverd exited $$sstatus after SIGINT"; exit 1; }; \
 	exit $$status
 
 # smoke-obs: end-to-end observability check. Boots zipserverd with tracing,
@@ -203,7 +211,9 @@ smoke-obs:
 	$$tmp/zipstat -once -json http://$$addr || status=$$?; \
 	[ -s $$tmp/spans.ndjson ] || { echo "no span records emitted"; status=1; }; \
 	[ -s $$tmp/access.ndjson ] || { echo "no access-log records emitted"; status=1; }; \
-	kill -INT $$pid 2>/dev/null; wait $$pid 2>/dev/null || true; \
+	kill -INT $$pid 2>/dev/null; \
+	sstatus=0; wait $$pid || sstatus=$$?; \
+	[ $$sstatus -eq 0 ] || { echo "zipserverd exited $$sstatus after SIGINT"; exit 1; }; \
 	exit $$status
 
 # smoke-pages: the remote compression-time oracle end to end (DESIGN.md
@@ -224,7 +234,9 @@ smoke-pages:
 	status=0; \
 	$$tmp/zippages -server http://$$(cat $$tmp/addr) -page victim \
 		-prefix key= -len 16 | tee $$tmp/pages.txt || status=$$?; \
-	kill -INT $$pid 2>/dev/null; wait $$pid 2>/dev/null || true; \
+	kill -INT $$pid 2>/dev/null; \
+	sstatus=0; wait $$pid || sstatus=$$?; \
+	[ $$sstatus -eq 0 ] || { echo "zipserverd exited $$sstatus after SIGINT"; exit 1; }; \
 	[ $$status -eq 0 ] || exit $$status; \
 	grep -q 'HUNTER2SECRET000' $$tmp/pages.txt || \
 		{ echo "zippages did not recover the planted secret"; exit 1; }; \
@@ -265,7 +277,8 @@ test-chaos:
 	kill -TERM $$pid; \
 	for i in $$(seq 1 80); do kill -0 $$pid 2>/dev/null || break; sleep 0.1; done; \
 	if kill -0 $$pid 2>/dev/null; then echo "SIGTERM exit exceeded the drain bound"; kill -9 $$pid; exit 1; fi; \
-	wait $$pid 2>/dev/null || true; \
+	sstatus=0; wait $$pid || sstatus=$$?; \
+	[ $$sstatus -eq 0 ] || { echo "zipserverd exited $$sstatus after SIGTERM (66 = data race)"; exit 1; }; \
 	[ -s $$tmp/metrics.json ] || { echo "no final metrics snapshot after SIGTERM"; exit 1; }; \
 	grep -q 'fault\.server\.' $$tmp/metrics.json || \
 		{ echo "metrics snapshot shows no injected faults — chaos never fired"; exit 1; }; \
@@ -334,7 +347,9 @@ test-chaos-cluster:
 	grep -q '"peer_state": "closed"' $$tmp/bhealth.json || \
 		{ echo "B's peer probation did not recover to closed after A returned"; \
 		  cat $$tmp/bhealth.json; kill $$pid1 $$pid2 2>/dev/null; exit 1; }; \
-	kill -INT $$pid1 $$pid2 2>/dev/null; wait $$pid1 $$pid2 2>/dev/null || true; \
+	kill -INT $$pid1 $$pid2 2>/dev/null; \
+	for p in $$pid1 $$pid2; do s=0; wait $$p || s=$$?; \
+		[ $$s -eq 0 ] || { echo "zipserverd (pid $$p) exited $$s after SIGINT"; exit 1; }; done; \
 	echo "test-chaos-cluster: zero errors through a SIGKILL+restart; peer probation opened and recovered"
 
 # Regenerate golden files (obs snapshot, experiments example manifest).

@@ -83,19 +83,19 @@ func run() error {
 		return err
 	}
 	cfg := loadConfig{
-		BaseURL:   strings.TrimRight(*url, "/"),
-		ZipfS:     *zipfS,
-		Digest:    *digest,
-		Clients:   *clients,
-		Duration:  *duration,
-		Requests:  *requests,
-		Codecs:    names,
-		Seed:      *seed,
-		Verify:    *verify,
-		BodyCap:   *bodyCap,
-		PageFrac:  *pageFrac,
-		PageIDs:   *pageIDs,
-		PageBytes: *pageB,
+		BaseURL:     strings.TrimRight(*url, "/"),
+		ZipfS:       *zipfS,
+		Digest:      *digest,
+		Clients:     *clients,
+		Duration:    *duration,
+		Requests:    *requests,
+		Codecs:      names,
+		Seed:        *seed,
+		Verify:      *verify,
+		BodyCap:     *bodyCap,
+		PageFrac:    *pageFrac,
+		PageIDs:     *pageIDs,
+		PageBytes:   *pageB,
 		Retries:     *retries,
 		RetryBase:   *rbase,
 		RetryMax:    *rmax,

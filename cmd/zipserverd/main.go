@@ -83,20 +83,8 @@ type cacheConfig struct {
 // server.cache.{hot,cold,local,peer}.
 func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache, peerView server.CacheBackend, cleanup func(), err error) {
 	cleanup = func() {}
-	if cc.HotBytes <= 0 && cc.Backend != "disk" {
-		return nil, nil, cleanup, nil // caching disabled; "lru" default also lands here when budget <= 0
-	}
-	// A disk tier needs a directory; default to a disposable temp dir.
-	ensureDir := func() (string, error) {
-		if cc.Dir != "" {
-			return cc.Dir, nil
-		}
-		dir, err := os.MkdirTemp("", "zipserverd-cache-*")
-		if err != nil {
-			return "", err
-		}
-		cleanup = func() { os.RemoveAll(dir) }
-		return dir, nil
+	if cc.HotBytes <= 0 {
+		return nil, nil, cleanup, nil // caching disabled
 	}
 	// localPrefix is where the innermost composition hangs its aggregate
 	// counters: the classic name when it IS the whole cache, a sub-name
@@ -109,50 +97,32 @@ func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache,
 	var local server.CacheBackend
 	switch cc.Backend {
 	case "lru":
-		if lru := server.NewLRUBackend(cc.HotBytes, reg, localPrefix); lru != nil {
-			local = lru
-		}
-	case "disk":
-		dir, derr := ensureDir()
-		if derr != nil {
-			return nil, nil, cleanup, derr
-		}
-		budget := cc.ColdBytes
-		if budget <= 0 {
-			budget = cc.HotBytes
-		}
-		d, derr := server.NewDiskBackend(dir, budget, reg, localPrefix, freg)
-		if derr != nil {
-			return nil, nil, cleanup, derr
-		}
-		if d != nil {
-			local = d
-		}
+		local = server.NewLRUBackend(cc.HotBytes, reg, localPrefix)
 	case "tiered":
-		dir, derr := ensureDir()
-		if derr != nil {
-			return nil, nil, cleanup, derr
+		// The disk tier needs a directory; default to a disposable temp dir.
+		dir := cc.Dir
+		if dir == "" {
+			tmp, derr := os.MkdirTemp("", "zipserverd-cache-*")
+			if derr != nil {
+				return nil, nil, cleanup, derr
+			}
+			dir, cleanup = tmp, func() { os.RemoveAll(tmp) }
 		}
 		hot := server.NewLRUBackend(cc.HotBytes, reg, "server.cache.hot")
 		cold, derr := server.NewDiskBackend(dir, cc.ColdBytes, reg, "server.cache.cold", freg)
 		if derr != nil {
 			return nil, nil, cleanup, derr
 		}
-		var hotB, coldB server.CacheBackend
-		if hot != nil {
-			hotB = hot
-		}
+		var coldB server.CacheBackend
 		if cold != nil {
 			coldB = cold
 		}
-		if t := server.NewTiered(hotB, coldB, reg, localPrefix); t != nil {
-			local = t
-		}
+		local = server.NewTiered(hot, coldB, reg, localPrefix)
 	default:
-		return nil, nil, cleanup, fmt.Errorf("unknown -cache-backend %q (have lru, disk, tiered)", cc.Backend)
+		return nil, nil, cleanup, fmt.Errorf("unknown -cache-backend %q (have lru, tiered)", cc.Backend)
 	}
 
-	if cc.Peer == "" || local == nil {
+	if cc.Peer == "" {
 		return local, local, cleanup, nil
 	}
 	peer := server.NewPeerBackend(cc.Peer, cc.PeerTimeout, reg, "server.cache.peer", freg)
@@ -209,9 +179,9 @@ func run() error {
 		maxBody  = flag.Int64("max-body", server.DefaultMaxBodyBytes, "per-request body cap in bytes")
 		cacheMB  = flag.Int64("cache-mb", 64, "response cache budget in MiB (negative disables; the hot tier for -cache-backend tiered)")
 
-		cacheBackend = flag.String("cache-backend", "lru", "cache backend: lru, disk, or tiered (in-memory hot over disk cold)")
+		cacheBackend = flag.String("cache-backend", "lru", "cache backend: lru (in-memory) or tiered (in-memory hot over disk cold)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the disk tier (empty = private temp dir, removed on exit)")
-		cacheColdMB  = flag.Int64("cache-cold-mb", 256, "disk (cold) tier budget in MiB for -cache-backend disk/tiered")
+		cacheColdMB  = flag.Int64("cache-cold-mb", 256, "disk (cold) tier budget in MiB for -cache-backend tiered")
 		cachePeer    = flag.String("cache-peer", "", "base URL of a peer zipserverd whose cache becomes this instance's outermost cold tier")
 		peerTimeout  = flag.Duration("cache-peer-timeout", server.DefaultPeerTimeout, "per-exchange deadline for the peer tier")
 		cacheMaxAge  = flag.Int("cache-max-age", 0, "max-age seconds advertised in Cache-Control on /v1 responses (0 = default, negative disables)")

@@ -272,7 +272,7 @@ type DatasetConfig struct {
 
 	// Obs receives dataset-generation telemetry: the fp.timelines and
 	// fp.traces counters, plus an fp.build_dataset span whose wall time
-	// lands in WallTotals (never in snapshots).
+	// reaches only the trace sink (never snapshots).
 	Obs *obs.Registry `json:"-"`
 }
 

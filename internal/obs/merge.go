@@ -12,8 +12,7 @@ package obs
 //   - histograms add (counts, sums, buckets; min/max take the extremes),
 //   - gauges take src's value — last-merged-wins, which reproduces the
 //     last-writer-wins outcome of sequential execution when sources are
-//     merged in task order,
-//   - hidden wall-clock span totals add.
+//     merged in task order.
 //
 // The sim clock and trace sink are left untouched. Merging a nil src (or
 // into a nil r) is a no-op. Merge does not snapshot src atomically; the
@@ -35,10 +34,6 @@ func (r *Registry) Merge(src *Registry) {
 	for k, v := range src.hists {
 		hists[k] = v
 	}
-	wall := make(map[string]*Counter, len(src.wall))
-	for k, v := range src.wall {
-		wall[k] = v
-	}
 	src.mu.Unlock()
 
 	for k, c := range counters {
@@ -49,9 +44,6 @@ func (r *Registry) Merge(src *Registry) {
 	}
 	for k, h := range hists {
 		r.Histogram(k).Merge(h)
-	}
-	for k, c := range wall {
-		r.wallCounter(k).Add(c.Value())
 	}
 }
 

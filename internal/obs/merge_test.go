@@ -91,16 +91,6 @@ func TestMergeEmptyHistogramIsNoop(t *testing.T) {
 	}
 }
 
-func TestMergeWallTotalsAdd(t *testing.T) {
-	a, dst := NewRegistry(), NewRegistry()
-	a.wallCounter("span").Add(100)
-	dst.wallCounter("span").Add(50)
-	dst.Merge(a)
-	if got := dst.WallTotals()["span"]; got != 150 {
-		t.Errorf("wall total = %d, want 150", got)
-	}
-}
-
 func TestMergeNilSafety(t *testing.T) {
 	var nilReg *Registry
 	nilReg.Merge(NewRegistry()) // must not panic

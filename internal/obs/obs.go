@@ -13,8 +13,8 @@
 //     attack must produce byte-identical Snapshot JSON, so everything a
 //     Snapshot contains derives from simulation state only: counters,
 //     gauges, and histograms over simulated quantities. Wall-clock data
-//     (span durations, traces/sec) is kept out of snapshots — it is
-//     available via WallTotals and the trace sink instead.
+//     (span durations, traces/sec) is kept out of snapshots — span wall
+//     time reaches only the trace sink, as each span event's wall_ns.
 //   - Nil-safety everywhere. A nil *Registry hands out nil instruments,
 //     and every instrument method is a no-op on a nil receiver, so
 //     instrumented hot paths need no conditionals.
@@ -41,7 +41,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	wall     map[string]*Counter // cumulative wall ns per span, not snapshotted
 	simClock func() uint64
 	sink     *TraceSink
 }
@@ -154,31 +153,6 @@ func (r *Registry) Emit(event string, fields map[string]any) {
 		return
 	}
 	s.Emit(event, r.SimNow(), fields)
-}
-
-// wallCounter returns the hidden wall-time accumulator for a span name.
-func (r *Registry) wallCounter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return instrument(r, &r.wall, name, NewCounter)
-}
-
-// WallTotals returns cumulative wall-clock nanoseconds per span name.
-// Wall time is deliberately excluded from Snapshot (it would break
-// byte-identical snapshots under a fixed seed); this accessor serves
-// progress lines and human diagnostics.
-func (r *Registry) WallTotals() map[string]uint64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]uint64, len(r.wall))
-	for k, c := range r.wall {
-		out[k] = c.Value()
-	}
-	return out
 }
 
 // numCounterShards is the size of a counter's padded shard array. Owners

@@ -159,10 +159,6 @@ func TestSpanDualClock(t *testing.T) {
 	if got := r.Histogram("work.sim").Sum(); got != 1000 {
 		t.Errorf("sim duration sum = %d, want 1000", got)
 	}
-	wall := r.WallTotals()
-	if wall["work"] == 0 {
-		t.Error("wall total should be nonzero")
-	}
 	// Without a sim clock, no sim histogram is created.
 	r2 := NewRegistry()
 	r2.StartSpan("w2").End()

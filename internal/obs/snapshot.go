@@ -20,7 +20,8 @@ type HistogramSnapshot struct {
 // Snapshot is a canonical, frozen view of a registry. Marshalling it
 // (encoding/json sorts map keys) yields a deterministic document: two
 // runs of the same seeded simulation produce byte-identical output.
-// Wall-clock quantities are deliberately absent (see WallTotals).
+// Wall-clock quantities are deliberately absent (span wall time reaches
+// only the trace sink).
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`

@@ -10,9 +10,8 @@ import "time"
 //   - observes the elapsed sim cycles into the "<name>.sim" histogram
 //     (only when a sim clock is installed, keeping snapshots
 //     deterministic),
-//   - accumulates wall nanoseconds into the registry's hidden wall table
-//     (WallTotals), and
-//   - emits a "span" trace event when a sink is attached.
+//   - emits a "span" trace event, carrying the wall nanoseconds as
+//     wall_ns, when a sink is attached.
 //
 // Span is a value type; the zero Span (from a nil registry) is a no-op.
 type Span struct {
@@ -47,7 +46,6 @@ func (sp Span) End() {
 	}
 	wallNS := uint64(time.Since(sp.wallStart).Nanoseconds())
 	sp.r.Counter(sp.name + ".calls").Inc()
-	sp.r.wallCounter(sp.name).Add(wallNS)
 	var simDur uint64
 	if sp.hasClock {
 		simDur = sp.r.SimNow() - sp.simStart

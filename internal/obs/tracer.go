@@ -16,7 +16,7 @@ import (
 // parent span ID) so the NDJSON sink records a linkable tree, while the
 // metric side effects stay exactly those of Span (a ".calls" counter, a
 // snapshot-visible ".sim" histogram when a simulation clock is installed,
-// wall nanoseconds in the hidden wall table).
+// wall nanoseconds only in the trace event).
 //
 // The determinism contract (DESIGN.md §9):
 //
@@ -28,7 +28,7 @@ import (
 //     sequential run with a fixed seed produces a reproducible ID
 //     sequence; concurrent runs still get unique IDs.
 //   - Only sim-clock durations enter snapshots; wall durations go to the
-//     wall table and the trace sink, never the canonical snapshot.
+//     trace sink, never the canonical snapshot.
 
 // TraceID is a 16-byte W3C trace identifier (all-zero = absent).
 type TraceID [16]byte
@@ -293,9 +293,8 @@ func (sp *TraceSpan) SetAttr(key string, value any) {
 
 // End closes the span: it increments "<name>.calls", observes the sim
 // duration into the snapshot-visible "<name>.sim" histogram when a sim
-// clock is installed, adds wall nanoseconds to the hidden wall table,
-// and emits a "span" trace event with the full identity triple when a
-// sink is attached. Safe to call more than once; only the first End
+// clock is installed, and emits a "span" trace event with the full
+// identity triple and the wall nanoseconds when a sink is attached. Safe to call more than once; only the first End
 // records.
 func (sp *TraceSpan) End() {
 	if sp == nil {
@@ -313,7 +312,6 @@ func (sp *TraceSpan) End() {
 	r := sp.t.reg
 	wallNS := uint64(time.Since(sp.wallStart).Nanoseconds())
 	r.Counter(sp.name + ".calls").Inc()
-	r.wallCounter(sp.name).Add(wallNS)
 	var simDur uint64
 	if sp.hasClock {
 		simDur = r.SimNow() - sp.simStart

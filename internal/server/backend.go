@@ -2,8 +2,8 @@ package server
 
 // This file defines the pluggable cache-backend contract (DESIGN.md §10).
 // The server composes backends into a hot/cold hierarchy; every
-// implementation — in-memory LRU, disk, remote peer, tiered composite —
-// obeys the same observable semantics, pinned by the
+// implementation — the LRU store (values in memory or in files), remote
+// peer, tiered composite — obeys the same observable semantics, pinned by the
 // internal/server/cachetest conformance suite:
 //
 //   - content-addressed Get/Put under a byte budget with LRU-order

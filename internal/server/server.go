@@ -133,7 +133,10 @@ type Config struct {
 	// Faults arms deterministic fault injection at the server's named
 	// points (server.codec.{compress,decompress}, server.cache.{get,put},
 	// server.gate.acquire). Nil disables injection entirely and leaves
-	// every output byte identical to a fault-free build.
+	// every output byte identical to a fault-free build. Non-nil also
+	// turns on the compress self-check: every compress response is
+	// decompressed and compared before it leaves the process, so
+	// corruption can only reach clients as a 500, never as wrong bytes.
 	Faults *fault.Registry
 	// BreakerThreshold is the consecutive-transient-failure count that
 	// opens a codec/op breaker; 0 means DefaultBreakerThreshold, negative
@@ -145,11 +148,6 @@ type Config struct {
 	// CodecRetries caps transient-failure retries per request; 0 means
 	// DefaultCodecRetries, negative disables retries.
 	CodecRetries int
-	// SelfCheck makes the server verify every compress response by
-	// decompressing it before it leaves the process (corruption can then
-	// only reach clients as a 500, never as wrong bytes). Forced on when
-	// Faults is non-nil.
-	SelfCheck bool
 	// Tracer records a span tree per /v1 request (server.request plus
 	// gate/breaker/codec/cache children), honoring incoming traceparent
 	// headers and echoing the request's traceparent on responses. Nil
@@ -269,7 +267,7 @@ func New(cfg Config) *Server {
 		mux:              http.NewServeMux(),
 		reqTimeout:       cfg.RequestTimeout,
 		retries:          cfg.CodecRetries,
-		selfCheck:        cfg.SelfCheck || cfg.Faults != nil,
+		selfCheck:        cfg.Faults != nil,
 		tracer:           cfg.Tracer,
 		sloLatency:       cfg.SLOLatency,
 		pages:            cfg.PageStore,

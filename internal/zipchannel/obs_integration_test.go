@@ -31,8 +31,8 @@ func runWithRegistry(t *testing.T) (*Result, []byte) {
 
 // TestSnapshotDeterministic is the telemetry contract: two fixed-seed
 // attack runs must produce byte-identical metric snapshots. Wall-clock
-// data (span durations) lives only in the trace stream and the hidden
-// wall table, never the snapshot.
+// data (span durations) lives only in the trace stream, never the
+// snapshot.
 func TestSnapshotDeterministic(t *testing.T) {
 	_, snap1 := runWithRegistry(t)
 	_, snap2 := runWithRegistry(t)
